@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import random
 import resource
 import statistics
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Callable, List, Tuple
 
-#: Set-ups timed per worker; the median is reported (``setup_s``).
-SETUP_REPEATS = 15
-
-#: Seconds :func:`probe` takes at the reference host speed.  Timings are
-#: reported scaled to that speed (see :func:`speed_factor`).
-PROBE_REF_S = 0.06
+#: Set-ups timed per worker, and the pause before each but the first.
+#: The host this benchmark was built on switches between a fast and a
+#: slow state every fraction of a second; back-to-back builds of a few
+#: milliseconds all land in one state, so the builds are spread over
+#: about a second and averaged (``setup_s`` is the run's median of
+#: those means).
+SETUP_REPEATS = 31
+SETUP_GAP_S = 0.03
 
 
 def sub_seed(seed: int, label: str) -> int:
@@ -38,73 +38,23 @@ def median(values: List[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
-class _Node:
-    __slots__ = ("key", "value", "next")
-
-    def __init__(self, key: int, value: float, nxt: "_Node"):
-        self.key = key
-        self.value = value
-        self.next = nxt
-
-
-def probe() -> float:
-    """Host seconds of a fixed pure-Python workload.
-
-    The host this benchmark runs on is shared, and its speed drifts by
-    up to 2x over minutes.  This probe (object allocation, dict and
-    heap churn, like the simulator's own hot paths, but none of the
-    library's code) is timed next to each measured span, so a timing
-    can be scaled to the reference speed and a later change to the
-    library cannot move the yardstick.  Its live set stays under a
-    megabyte, so it leaves peak memory alone.
-    """
-    rng = random.Random(3)
-    started = perf_counter()
-    table = {}
-    heap: List[Tuple[float, int]] = []
-    for index in range(40_000):
-        node = _Node(index, rng.random(), table.get(index % 97))
-        table[(index * 7919) % 4_099] = node
-        heapq.heappush(heap, (node.value, index))
-        if len(heap) > 2_000:
-            heapq.heappop(heap)
-    return perf_counter() - started
-
-
-def speed_factor(probes: List[float]) -> float:
-    """Reference-speed seconds per host second, from probes taken around
-    a measurement (their median: single probes are noisy)."""
-    return PROBE_REF_S / statistics.median(probes)
-
-
-def timed_segments(segments: List[Callable[[], None]]
-                   ) -> Tuple[float, List[float]]:
-    """Run ``segments`` in order with a probe before, between and after
-    them; returns ``(host seconds of the segments, probe seconds)``."""
-    host = 0.0
-    probes = [probe()]
-    for segment in segments:
-        started = perf_counter()
-        segment()
-        host += perf_counter() - started
-        probes.append(probe())
-    return host, probes
-
-
 def timed_setup(build: Callable[[], Any]) -> Tuple[Any, float]:
-    """Run ``build`` :data:`SETUP_REPEATS` times; keep the last result.
+    """Run ``build`` :data:`SETUP_REPEATS` times, :data:`SETUP_GAP_S`
+    apart; keep the last result.
 
-    Returns ``(result, median host seconds)``.  Every repeat builds
-    from the same inputs, so the kept result is what a single set-up
-    gives.
+    Returns ``(result, mean host seconds of a build)``.  Every repeat
+    builds from the same inputs, so the kept result is what a single
+    set-up gives.
     """
-    seconds = []
+    seconds = 0.0
     result = None
-    for _ in range(SETUP_REPEATS):
+    for index in range(SETUP_REPEATS):
+        if index:
+            sleep(SETUP_GAP_S)
         started = perf_counter()
         result = build()
-        seconds.append(perf_counter() - started)
-    return result, statistics.median(seconds)
+        seconds += perf_counter() - started
+    return result, seconds / SETUP_REPEATS
 
 
 def peak_rss_mib() -> float:

@@ -85,7 +85,7 @@ class LayerRecorder(KernelHooks):
         recorder = LayerRecorder()
         recorder.attach(env)            # hooks + owner-resolving step
         recorder.wrap(store, "add", "storage.store_add")
-        with recorder.root("sim.run"):
+        with recorder.span("sim.run"):
             env.run(until=horizon)
         recorder.layer_busy()           # dispatch self time by layer
         recorder.busy("storage.store_add"), recorder.calls
@@ -238,9 +238,10 @@ class LayerRecorder(KernelHooks):
             self.spans[frame.index] = (name, frame.start, end, parent)
         return duration
 
-    def root(self, name: str = "sim.run") -> "_Root":
-        """Context manager for the span every other span nests under."""
-        return _Root(self, name)
+    def span(self, name: str) -> "_Span":
+        """Context manager for one span: a run's root, or a section
+        (one lock hold, one stepping chunk) that others nest under."""
+        return _Span(self, name)
 
     def wrap(self, obj: Any, method: str, name: str,
              observe: Optional[Callable[[tuple, dict, Any], None]] = None,
@@ -291,13 +292,13 @@ class LayerRecorder(KernelHooks):
                                       "parent": parent}) + "\n")
 
 
-class _Root:
+class _Span:
     def __init__(self, recorder: LayerRecorder, name: str):
         self.recorder = recorder
         self.name = name
         self.duration = 0.0
 
-    def __enter__(self) -> "_Root":
+    def __enter__(self) -> "_Span":
         self.recorder._enter(self.name)
         return self
 

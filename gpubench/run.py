@@ -7,13 +7,13 @@ Run from the repository root::
         --seconds 15 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics (``setup_s``, ``wall_s``,
-``peak_rss_mib``) with tracing off, timings scaled to a reference host
-speed by a probe (see ``common.probe``); ``--trace 1`` runs one replicate
-untraced and then traced and reports the per-layer metrics, spans
-written to ``.gpubench/``.  Every run checks the simulated outcome and
-prints, before the final result line, a ``report`` line with the
-simulated metrics (utilization, sessions, migration success, jobs
-completed, HTTP latencies) and the outcome digest.  See README.md.
+``peak_rss_mib``) in host seconds with tracing off; ``--trace 1`` runs
+one replicate untraced and then traced and reports the per-layer
+metrics, spans written to ``.gpubench/``.  Every run checks the
+simulated outcome and prints, before the final result line, a
+``report`` line with the simulated metrics (utilization, sessions,
+migration success, jobs completed, HTTP latencies) and the outcome
+digest.  See README.md.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ ROOT = os.path.dirname(HERE)
 
 #: Replicates per run: distinct sub-seeds of the run seed.  Summing
 #: several keeps the seed-to-seed spread of ``wall_s`` small.
-REPLICATES = {"campus_churn": 3, "federation_relay": 3, "lan_storm": 1}
+REPLICATES = {"campus_churn": 3, "federation_relay": 3, "lan_storm": 3}
 WORKLOADS = tuple(REPLICATES) + ("service_http",)
 
 END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mib": "MiB"}
@@ -61,7 +61,8 @@ PER_LAYER: Dict[str, str] = {
     "sharechain.rejected": "count",
     "monitoring.db_writes": "count", "monitoring.db_busy_s": "s",
     "observability.collect_busy_s": "s",
-    "server.route_busy_s": "s", "server.lock_hold_p99_ms": "ms",
+    "server.route_busy_s": "s", "server.lock_other_s": "s",
+    "server.lock_hold_p99_ms": "ms",
     "server.rejected_429": "count", "loadgen.lag_p99_ms": "ms",
     "trace.wall_s": "s", "trace.untraced_wall_s": "s",
     "trace.overhead_s": "s", "trace.accounted_s": "s",
@@ -126,8 +127,8 @@ def measure_batch(workload: str, seed: int, seconds: float, size: str
              for index in range(REPLICATES[workload])]
     started = perf_counter()
     first: List[Dict[str, Any]] = []
-    walls: List[List[Dict[str, float]]] = [[] for _ in seeds]
-    setups: List[Dict[str, float]] = []
+    walls: List[List[float]] = [[] for _ in seeds]
+    setups: List[float] = []
     rss: List[float] = []
     violations: List[str] = []
     attempted = 0
@@ -136,8 +137,8 @@ def measure_batch(workload: str, seed: int, seconds: float, size: str
         index = count % len(seeds)
         result = run_replicate(workload, seeds[index], size, traced=False)
         count += 1
-        walls[index].append(result)
-        setups.append(result)
+        walls[index].append(result["wall_s"])
+        setups.append(result["setup_s"])
         rss.append(result["peak_rss_mib"])
         if count <= len(seeds):
             first.append(result)
@@ -150,20 +151,13 @@ def measure_batch(workload: str, seed: int, seconds: float, size: str
         elapsed = perf_counter() - started
         if count >= len(seeds) and elapsed + elapsed / count > seconds:
             break
-    def total(key: str) -> float:
-        return sum(median([sample[key] for sample in samples])
-                   for samples in walls)
-
     return {
         "metrics": {
-            "setup_s": median([sample["setup_s"] for sample in setups]),
-            "wall_s": total("wall_s"),
+            "setup_s": median(setups),
+            "wall_s": sum(median(samples) for samples in walls),
             "peak_rss_mib": median(rss),
         },
         "sim": pool_sim(workload, first),
-        "host": {"setup_host_s": median([sample["setup_host_s"]
-                                         for sample in setups]),
-                 "wall_host_s": total("wall_host_s")},
         "digest": digest([result["digest"] for result in first]),
         "attempted": attempted,
         "violations": violations,
@@ -193,14 +187,13 @@ def trace_batch(workload: str, seed: int, size: str) -> Dict[str, Any]:
     violations = _check(workload)(traced["check"])
     if traced["digest"] != plain["digest"]:
         violations.append("determinism: tracing changed the outcome digest")
-    return _layers(traced, plain["wall_host_s"], violations,
+    return _layers(traced, traced["wall_s"], plain["wall_s"], violations,
                    _operations(traced["check"]))
 
 
-def _layers(traced: Dict[str, Any], untraced_wall: float,
+def _layers(traced: Dict[str, Any], wall: float, untraced_wall: float,
             violations: List[str], attempted: int) -> Dict[str, Any]:
     layers = dict(traced["layers"])
-    wall = traced["wall_host_s"]
     layers["trace.wall_s"] = wall
     layers["trace.untraced_wall_s"] = untraced_wall
     layers["trace.overhead_s"] = wall - untraced_wall
@@ -220,8 +213,6 @@ def run_service_workload(seed: int, size: str, trace: bool
         return {
             "metrics": {name: plain[name] for name in END_TO_END},
             "sim": plain["sim"],
-            "host": {key: plain[key]
-                     for key in ("setup_host_s", "wall_host_s")},
             "digest": plain["digest"],
             "attempted": plain["check"]["requests"],
             "violations": violations,
@@ -231,7 +222,10 @@ def run_service_workload(seed: int, size: str, trace: bool
                          f"spans-service_http-{seed}.jsonl.gz")
     traced = run_service(ROOT, seed, size, traced=True, spans_path=spans)
     violations += check_service(traced["check"])
-    return _layers(traced, plain["wall_host_s"], violations,
+    # The traced wall on service_http is the session's lock-held time,
+    # which the self-time buckets partition.
+    return _layers(traced, traced["lock_held_s"], plain["lock_held_s"],
+                   violations,
                    plain["check"]["requests"] + traced["check"]["requests"])
 
 
@@ -265,7 +259,7 @@ def main(argv=None) -> int:
     print(json.dumps({"report": {
         "workload": args.workload, "seed": args.seed,
         "trace": args.trace, "digest": outcome["digest"],
-        "sim": outcome["sim"], "host": outcome.get("host", {}),
+        "sim": outcome["sim"],
         "violations": outcome["violations"]}}))
     print(json.dumps(result_line(outcome, units)))
     return 0

@@ -20,7 +20,7 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
 import run  # noqa: E402
-from service import check_service  # noqa: E402
+from service import check_service, is_error  # noqa: E402
 from workloads import check_campus, check_federation, check_lan  # noqa: E402
 
 NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
@@ -71,10 +71,10 @@ def test_tiny_smoke(workload, trace):
     else:
         metrics = {name: m["value"] for name, m in result["metrics"].items()}
         assert metrics["sim.events"] > 0
-        if workload != "service_http":
-            # Self times partition the traced wall time.
-            assert metrics["trace.accounted_s"] == pytest.approx(
-                metrics["trace.wall_s"], rel=1e-3)
+        # Self times partition the traced wall time (on service_http,
+        # the session's lock-held time).
+        assert metrics["trace.accounted_s"] == pytest.approx(
+            metrics["trace.wall_s"], rel=1e-3)
         _check_span_tree(os.path.join(
             ROOT, ".gpubench", f"spans-{workload}-3.jsonl.gz"))
 
@@ -163,3 +163,9 @@ def test_service_faults_are_counted():
     assert check_service(dict(clean, failed_requests=1))
     assert check_service(dict(clean, statuses={"api-000001": "running"}))
     assert check_service(dict(clean, audit=["exactly-once: 1 duplicated"]))
+
+
+def test_backpressure_is_not_a_failed_request():
+    assert not is_error(429)
+    assert not is_error(202) and not is_error(200)
+    assert is_error(0) and is_error(400) and is_error(500)

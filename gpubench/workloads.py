@@ -16,6 +16,7 @@ counter trip.
 from __future__ import annotations
 
 import random
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.agent import BehaviorProfile
@@ -41,8 +42,7 @@ from repro.scenarios.spec import (
 from repro.units import DAY, GIB, HOUR, MINUTE, gbps
 from repro.workloads.training import JobStatus, TrainingJobSpec
 
-from common import (digest, rounded, speed_factor, timed_segments,
-                    timed_setup)
+from common import digest, rounded, timed_setup
 from recorder import LayerRecorder
 
 #: Fixed work per replicate.  ``tiny`` is the benchmark's own smoke size.
@@ -61,6 +61,13 @@ SIZES: Dict[str, Dict[str, Dict[str, float]]] = {
     },
 }
 
+#: Seed of the one ``PAPER_LABS`` demand trace every campus replicate
+#: replays.  The run's seed drives the platform (churn, placement), so
+#: every run offers the campus the same work: with the trace drawn per
+#: seed, checkpoints stored differed by up to 8% between seeds, and the
+#: store's cost grows faster than that count.
+DEMAND_SEED = 0
+
 #: Fig. 3's volunteer churn profile (``run_fig3`` defaults).
 FIG3_CHURN = BehaviorProfile(
     events_per_day=1.6,
@@ -68,9 +75,6 @@ FIG3_CHURN = BehaviorProfile(
     mean_temporary_downtime=40 * MINUTE,
     mean_rejoin_delay=1 * HOUR,
 )
-
-#: Segments the fixed work is timed in (a speed probe runs between).
-SEGMENTS = 8
 
 #: ``SystemDatabase`` methods that write.
 DB_WRITES = ("upsert_node", "set_node_status", "record_allocation",
@@ -241,6 +245,7 @@ def layer_metrics(recorder: LayerRecorder, tally: Tally,
         "monitoring.db_busy_s": busy("monitoring.db_write"),
         "observability.collect_busy_s": busy("observability.collect"),
         "server.route_busy_s": busy("server.route"),
+        "server.lock_other_s": busy("server.lock"),
         "trace.spans": len(recorder.spans) + recorder.spans_dropped,
     })
     if deployment is not None:
@@ -255,29 +260,19 @@ def _rejected(deployment) -> int:
                for by_reason in deployment.rejected_entries().values())
 
 
-def _timed_run(recorder: Optional[LayerRecorder],
-               advance: Callable[[float], None],
-               setup_host_s: float) -> Dict[str, float]:
-    """Run the fixed work as :data:`SEGMENTS` calls ``advance(share)``
-    (``share`` = fraction of the work done at the segment's end).
-
-    Untraced, speed probes run around and between the segments
-    (outside the timing) and ``setup_s`` / ``wall_s`` are scaled to the
-    reference speed; traced, the segments run back to back under the
-    root span and every reading is in host seconds.
-    """
-    segments = [lambda k=k: advance(k / SEGMENTS)
-                for k in range(1, SEGMENTS + 1)]
+def _timed_run(recorder: Optional[LayerRecorder], work: Callable[[], None],
+               setup_s: float) -> Dict[str, float]:
+    """Run the fixed ``work`` once, timed in host seconds; traced, under
+    the root span."""
     if recorder is None:
-        host, probes = timed_segments(segments)
-        factor = speed_factor(probes)
+        started = perf_counter()
+        work()
+        wall = perf_counter() - started
     else:
-        with recorder.root("sim.run") as root:
-            for segment in segments:
-                segment()
-        host, factor = root.duration, 1.0
-    return {"setup_host_s": setup_host_s, "setup_s": setup_host_s * factor,
-            "wall_host_s": host, "wall_s": host * factor}
+        with recorder.span("sim.run") as root:
+            work()
+        wall = root.duration
+    return {"setup_s": setup_s, "wall_s": wall}
 
 
 def _job_records(jobs: List[Tuple[str, Any]],
@@ -304,26 +299,26 @@ def _job_records(jobs: List[Tuple[str, Any]],
 
 def campus_replicate(seed: int, size: Dict[str, float],
                      traced: bool = False) -> Dict[str, Any]:
-    """The paper's campus: PAPER_LABS demand, Fig. 3 churn on ws1/ws4."""
+    """The paper's campus: the PAPER_LABS demand trace, Fig. 3 churn on
+    ws1/ws4, the platform seeded with ``seed``."""
     horizon = size["days"] * DAY
 
     def build():
         platform = build_gpunion_campus(seed=seed)
         for hostname in VOLUNTEER_NODES:
             platform.add_behavior(hostname, FIG3_CHURN)
-        trace = campus_demand(seed, horizon)
+        trace = campus_demand(DEMAND_SEED, horizon)
         replay_demand(platform, trace)
         return platform, trace
 
-    (platform, trace), setup_host_s = timed_setup(build)
+    (platform, trace), setup_s = timed_setup(build)
     recorder = tally = None
     if traced:
         recorder, tally = LayerRecorder(), Tally()
         recorder.attach(platform.env)
         _wire_platform(recorder, platform, tally)
-    timings = _timed_run(
-        recorder, lambda share: platform.run(until=horizon * share),
-        setup_host_s)
+    timings = _timed_run(recorder, lambda: platform.run(until=horizon),
+                         setup_s)
 
     jobs = platform.coordinator.jobs
     counts: Dict[str, int] = {}
@@ -393,15 +388,15 @@ def federation_replicate(seed: int, size: Dict[str, float],
                          traced: bool = False) -> Dict[str, Any]:
     """The relay line, compiled from its :class:`ScenarioSpec`."""
     spec = relay_scenario(size["hours"])
-    compiled, setup_host_s = timed_setup(
+    compiled, setup_s = timed_setup(
         lambda: compile_scenario(spec, seed=seed))
     deployment = compiled.deployment
     recorder = tally = None
     if traced:
         recorder, tally = LayerRecorder(), Tally()
         wire_deployment(recorder, deployment, tally)
-    timings = _timed_run(recorder, lambda share: deployment.run(
-        until=compiled.horizon * share), setup_host_s)
+    timings = _timed_run(
+        recorder, lambda: deployment.run(until=compiled.horizon), setup_s)
 
     # A job stays in its origin coordinator's book wherever it runs.
     records = _job_records(
@@ -472,26 +467,26 @@ def lan_replicate(seed: int, size: Dict[str, float],
     hot = max(2, hosts // 16)
     workstations = [f"ws{index}" for index in range(hosts - hot)]
     servers = [f"srv{index}" for index in range(hot)]
-    rng = random.Random(seed)
-    plan = []
-    for _ in range(total):
-        src = rng.choice(workstations)
-        if rng.random() < 0.72:
-            dst = rng.choice(servers)
-        else:
-            dst = rng.choice(workstations[:20])
-            if dst == src:
-                dst = workstations[20]
-        plan.append((src, dst, rng.uniform(0.2, 2.0) * GIB))
-    gaps = [rng.expovariate(1 / 0.012) for _ in range(concurrent)]
 
     def build():
+        rng = random.Random(seed)
+        plan = []
+        for _ in range(total):
+            src = rng.choice(workstations)
+            if rng.random() < 0.72:
+                dst = rng.choice(servers)
+            else:
+                dst = rng.choice(workstations[:20])
+                if dst == src:
+                    dst = workstations[20]
+            plan.append((src, dst, rng.uniform(0.2, 2.0) * GIB))
+        gaps = [rng.expovariate(1 / 0.012) for _ in range(concurrent)]
         platform = GPUnionPlatform(seed=seed, backbone_capacity=gbps(200))
         for name in workstations + servers:
             platform.lan.attach(name, access_capacity=gbps(1))
-        return platform
+        return platform, plan, gaps
 
-    platform, setup_host_s = timed_setup(build)
+    (platform, plan, gaps), setup_s = timed_setup(build)
     env, network = platform.env, platform.network
     state = {"issued": 0, "done": 0, "finish": []}
 
@@ -521,11 +516,11 @@ def lan_replicate(seed: int, size: Dict[str, float],
         recorder.attach(env)
         recorder.wrap(network, "transfer", "flows.transfer")
 
-    def advance(share: float) -> None:
-        while state["done"] < total * share:
+    def advance() -> None:
+        while state["done"] < total:
             env.step()
 
-    timings = _timed_run(recorder, advance, setup_host_s)
+    timings = _timed_run(recorder, advance, setup_s)
     requested = sum(nbytes for _, _, nbytes in plan)
     delivered = platform.traffic.total_bytes("bench")
     result = {
