@@ -30,7 +30,7 @@ import time
 import pytest
 
 from repro.agent import BehaviorProfile
-from repro.core.partition import LinkOutage, PartitionSchedule
+from repro.core.faults import LinkOutage
 from repro.federation import FederatedDeployment, FederationConfig
 from repro.gpu import RTX_3090, RTX_4090
 from repro.network import CampusLAN, FlowNetwork
@@ -172,7 +172,7 @@ def run_relay_chaos(campuses=8, sim_hours=3.0, jobs=40, seed=5,
             duration = rng.uniform(3 * MINUTE, 20 * MINUTE)
             outages.append(LinkOutage(a, b, at, duration))
             at += duration + rng.uniform(10 * MINUTE, 50 * MINUTE)
-    fed.inject_partitions(PartitionSchedule(outages=tuple(outages)))
+    fed.inject(outages)
     models = (RESNET50, UNET_SEG)
     for i in range(jobs):
         handle = handles[0] if i % 3 else handles[i % len(handles)]

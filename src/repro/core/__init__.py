@@ -2,22 +2,22 @@
 
 from .autosubmit import ResourceEstimate, auto_submit, estimate_resources
 from .failover import CoordinatorHA, FailoverConfig
-from .partition import (
+from .faults import (
+    BYZANTINE_MODES,
+    ByzantineWindow,
     ControlPlaneCrash,
-    ControlPlaneSchedule,
     LinkOutage,
+)
+from .partition import (
     ModelLayer,
-    PartitionSchedule,
     PipelinePlan,
     StageAssignment,
-    inject_control_plane_failures,
-    inject_partitions,
     make_transformer_layers,
     partition_pipeline,
 )
 from .coordinator import Coordinator, DispatchLease, RunningWorkload
 from .heartbeat import HeartbeatMonitor
-from .messages import DispatchResult, Placement, RequestKind, ResourceRequest
+from .messages import Placement, RequestKind, ResourceRequest
 from .migration import (
     DEFAULT_MIGRATION_DEADLINE,
     MigrateBackSummary,
@@ -44,15 +44,13 @@ __all__ = [
     "auto_submit",
     "estimate_resources",
     "ResourceEstimate",
+    "BYZANTINE_MODES",
+    "ByzantineWindow",
     "ControlPlaneCrash",
-    "ControlPlaneSchedule",
     "LinkOutage",
     "ModelLayer",
-    "PartitionSchedule",
     "PipelinePlan",
     "StageAssignment",
-    "inject_control_plane_failures",
-    "inject_partitions",
     "make_transformer_layers",
     "partition_pipeline",
     "Coordinator",
@@ -66,7 +64,6 @@ __all__ = [
     "ResourceRequest",
     "RequestKind",
     "Placement",
-    "DispatchResult",
     "DispatchQueue",
     "NodeRegistry",
     "NodeRecord",

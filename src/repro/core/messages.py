@@ -117,11 +117,3 @@ class Placement:
     node_id: str
     hostname: str
     gpu_uuid: str
-
-
-@dataclass(frozen=True, slots=True)
-class DispatchResult:
-    """Agent's answer to a dispatch RPC."""
-
-    accepted: bool
-    reason: str = ""

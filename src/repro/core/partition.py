@@ -1,4 +1,4 @@
-"""Partitioning, in both senses GPUnion cares about.
+"""Pipeline partitioning for GPUnion's heterogeneous fleet.
 
 **Model partitioning** (§5.2 future work): "Unlike homogeneous
 clusters, GPUnion deploys in campus networks, which host a variety of
@@ -6,10 +6,10 @@ GPU architectures whose memory capacity, compute capability, and
 interconnect bandwidth differ substantially.  This heterogeneity calls
 for new approaches to model partitioning, layer placement, and load
 balancing that simultaneously respect hardware constraints and the
-fluctuating availability of contributors."  The first half of this
-module implements that pipeline-partitioning problem for GPUnion's
-fleet: split a large model's layer sequence into contiguous stages,
-one stage per available GPU, such that
+fluctuating availability of contributors."  This module implements
+that pipeline-partitioning problem for GPUnion's fleet: split a large
+model's layer sequence into contiguous stages, one stage per available
+GPU, such that
 
 * every stage's weights + activations fit its GPU's memory, and
 * the pipeline bottleneck (max stage compute time, normalised by each
@@ -18,29 +18,17 @@ one stage per available GPU, such that
 with a reliability-aware variant that discounts volatile providers'
 capacity so a flaky host never carries the heaviest stage.
 
-**Network partitioning**: GPUnion's premise is that capacity can vanish
-at any moment — and once campuses federate over a WAN, whole *sites*
-can vanish behind a severed long-haul link.  The second half of this
-module treats link failure and recovery as first-class simulated
-events: a :class:`PartitionSchedule` of :class:`LinkOutage` windows is
-injected into a running :class:`~repro.network.wan.WanTopology` by
-:func:`inject_partitions`, severing routes mid-transfer at the outage
-start and healing them (with route recomputation and gateway
-reconciliation) at its end.  A deterministic flapping-link schedule is
-one classmethod away, which is what the partition-resilience experiment
-drives.
+Network partitions (severed WAN links) are a fault-injection window:
+see :mod:`repro.core.faults`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..gpu.specs import GPUSpec, speedup_over_reference
-from ..network.wan import WanTopology
-from ..sim import Environment
-from ..units import GIB
 
 
 @dataclass(frozen=True)
@@ -228,348 +216,3 @@ def partition_pipeline(
         raise SchedulingError("partition produced no stages")
     return PipelinePlan(stages=tuple(stages))
 
-
-# -- network partitions: link outages as first-class events ---------------
-
-
-@dataclass(frozen=True)
-class LinkOutage:
-    """One window during which a WAN site pair is severed."""
-
-    site_a: str
-    site_b: str
-    start: float
-    duration: float
-
-    def __post_init__(self):
-        if self.site_a == self.site_b:
-            raise ValueError("outage needs two distinct sites")
-        if self.start < 0:
-            raise ValueError("outage start must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("outage duration must be positive")
-
-    @property
-    def end(self) -> float:
-        """Simulation time the link heals."""
-        return self.start + self.duration
-
-    @property
-    def pair(self) -> Tuple[str, str]:
-        """The undirected site pair, name-sorted."""
-        return tuple(sorted((self.site_a, self.site_b)))
-
-
-@dataclass(frozen=True)
-class PartitionSchedule:
-    """A deterministic set of :class:`LinkOutage` windows.
-
-    Purely declarative — build it up front (so an experiment's failure
-    trace is part of its configuration, not a side effect of running
-    it) and hand it to :func:`inject_partitions`.
-    """
-
-    outages: Tuple[LinkOutage, ...] = ()
-
-    def __post_init__(self):
-        ordered = tuple(sorted(
-            self.outages, key=lambda o: (o.start, o.pair, o.duration)))
-        object.__setattr__(self, "outages", ordered)
-
-    @classmethod
-    def flapping(
-        cls,
-        site_a: str,
-        site_b: str,
-        first_down: float,
-        downtime: float,
-        uptime: float,
-        until: float,
-    ) -> "PartitionSchedule":
-        """A link that severs and heals periodically until ``until``.
-
-        Windows start at ``first_down`` and repeat every
-        ``downtime + uptime`` seconds — the classic flapping long-haul
-        link the partition-resilience experiment injects.
-        """
-        if downtime <= 0 or uptime <= 0:
-            raise ValueError("downtime and uptime must be positive")
-        outages = []
-        start = first_down
-        while start < until:
-            outages.append(LinkOutage(site_a, site_b, start, downtime))
-            start += downtime + uptime
-        return cls(outages=tuple(outages))
-
-    def affecting(self, site_a: str, site_b: str) -> Tuple[LinkOutage, ...]:
-        """Outage windows hitting one undirected site pair."""
-        pair = tuple(sorted((site_a, site_b)))
-        return tuple(o for o in self.outages if o.pair == pair)
-
-    @property
-    def total_downtime(self) -> float:
-        """Summed outage seconds (overlaps counted per window)."""
-        return sum(o.duration for o in self.outages)
-
-    def merged(self, other: "PartitionSchedule") -> "PartitionSchedule":
-        """Union of two schedules (windows nest safely on injection)."""
-        return PartitionSchedule(outages=self.outages + other.outages)
-
-
-def inject_partitions(
-    env: Environment,
-    wan: WanTopology,
-    schedule: PartitionSchedule,
-) -> None:
-    """Drive ``schedule``'s outages against ``wan`` on the sim clock.
-
-    Each window becomes a pair of simulated events: sever at its start
-    (in-flight traffic on the route dies, if partition enforcement is
-    attached), heal at its end (routes recompute; gateways reconcile).
-    Overlapping windows on one pair nest via the topology's outage
-    depth, so a pair only heals when its last window lifts.  Observers
-    subscribe to the edge transitions with
-    :meth:`~repro.network.wan.WanTopology.add_listener`.
-    """
-    for outage in schedule.outages:
-        env.process(_drive_outage(env, wan, outage),
-                    name=f"outage:{outage.site_a}<->{outage.site_b}"
-                         f"@{outage.start:g}")
-
-
-def _drive_outage(env, wan, outage):
-    if outage.start > env.now:
-        yield env.timeout(outage.start - env.now)
-    wan.sever(outage.site_a, outage.site_b)
-    yield env.timeout(outage.duration)
-    wan.heal(outage.site_a, outage.site_b)
-
-
-# -- control-plane crashes: process failures as first-class events --------
-
-
-@dataclass(frozen=True)
-class ControlPlaneCrash:
-    """One crash/restart window for a site's control-plane process.
-
-    ``component`` picks the victim: ``"coordinator"`` kills the
-    campus's leading coordinator replica (its HA pair takes over after
-    failure detection, or the campus runs headless until restart);
-    ``"gateway"`` kills the federation gateway (the campus drops off
-    the WAN and recovers its books from the persisted snapshot).
-    """
-
-    site: str
-    component: str  # "coordinator" | "gateway"
-    start: float
-    downtime: float
-
-    def __post_init__(self):
-        if self.component not in ("coordinator", "gateway"):
-            raise ValueError(
-                "component must be 'coordinator' or 'gateway'")
-        if self.start < 0:
-            raise ValueError("crash start must be >= 0")
-        if self.downtime <= 0:
-            raise ValueError("crash downtime must be positive")
-
-    @property
-    def end(self) -> float:
-        """Simulation time the process restarts."""
-        return self.start + self.downtime
-
-
-@dataclass(frozen=True)
-class ControlPlaneSchedule:
-    """A deterministic set of :class:`ControlPlaneCrash` windows.
-
-    The control-plane sibling of :class:`PartitionSchedule`: declare
-    the failure trace up front, inject it with
-    :func:`inject_control_plane_failures`, and compose it freely with
-    link outages — chaos experiments mix both.
-    """
-
-    crashes: Tuple[ControlPlaneCrash, ...] = ()
-
-    def __post_init__(self):
-        ordered = tuple(sorted(
-            self.crashes,
-            key=lambda c: (c.start, c.site, c.component, c.downtime)))
-        object.__setattr__(self, "crashes", ordered)
-
-    @classmethod
-    def single(cls, site: str, component: str, start: float,
-               downtime: float) -> "ControlPlaneSchedule":
-        """One crash window — the deterministic regression-test shape."""
-        return cls(crashes=(
-            ControlPlaneCrash(site, component, start, downtime),))
-
-    def affecting(self, site: str) -> Tuple[ControlPlaneCrash, ...]:
-        """Crash windows hitting one site."""
-        return tuple(c for c in self.crashes if c.site == site)
-
-    @property
-    def total_downtime(self) -> float:
-        """Summed crash seconds (overlaps counted per window)."""
-        return sum(c.downtime for c in self.crashes)
-
-    def merged(self, other: "ControlPlaneSchedule") -> "ControlPlaneSchedule":
-        """Union of two schedules."""
-        return ControlPlaneSchedule(crashes=self.crashes + other.crashes)
-
-
-def inject_control_plane_failures(
-    env: Environment,
-    targets: dict,
-    schedule: ControlPlaneSchedule,
-) -> None:
-    """Drive ``schedule``'s crashes against per-site crash targets.
-
-    ``targets`` maps ``(site, component)`` to any object with
-    ``crash()`` and ``restart()`` — a
-    :class:`~repro.core.failover.CoordinatorHA` pair for coordinators,
-    a :class:`~repro.federation.gateway.FederationGateway` for
-    gateways.  Each window becomes a kill at its start and a restart
-    at its end, on the sim clock, exactly like a link outage.  Windows
-    for targets the deployment does not expose are skipped (a schedule
-    can be reused across topologies).
-    """
-    for crash in schedule.crashes:
-        target = targets.get((crash.site, crash.component))
-        if target is None:
-            continue
-        env.process(_drive_crash(env, target, crash),
-                    name=f"crash:{crash.component}:{crash.site}"
-                         f"@{crash.start:g}")
-
-
-def _drive_crash(env, target, crash):
-    if crash.start > env.now:
-        yield env.timeout(crash.start - env.now)
-    target.crash()
-    yield env.timeout(crash.downtime)
-    target.restart()
-
-
-# -- Byzantine behavior: adversarial sites as first-class events ----------
-
-
-#: Misbehavior modes a Byzantine federation gateway can run:
-#:
-#: * ``over-report`` — gossip digests advertise phantom idle GPUs, so
-#:   peers forward into a wall of reason-less declines;
-#: * ``over-bill`` — real hosted jobs settle honestly in the shared
-#:   ledger but the signed *chain entry* bills inflated hours;
-#: * ``under-bill`` — entries authored by others that charge this site
-#:   are tampered (hours shrunk) when re-gossiped, without re-signing;
-#: * ``forge`` — donation entries are fabricated for jobs never hosted;
-#: * ``replay`` — an already-settled entry is re-signed at a new
-#:   sequence number;
-#: * ``free-ride`` — relay-fee entries crediting this site are forged
-#:   for relay work never performed.
-BYZANTINE_MODES = ("over-report", "over-bill", "under-bill", "forge",
-                   "replay", "free-ride")
-
-
-@dataclass(frozen=True)
-class ByzantineWindow:
-    """One window during which a site runs one misbehavior mode.
-
-    ``duration=None`` means the site misbehaves from ``start`` to the
-    end of the run (the chaos-suite default: detection must not depend
-    on the adversary politely stopping).
-    """
-
-    site: str
-    mode: str
-    start: float = 0.0
-    duration: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.site:
-            raise ValueError("window needs a site")
-        if self.mode not in BYZANTINE_MODES:
-            raise ValueError(
-                f"mode must be one of {BYZANTINE_MODES}, got {self.mode!r}")
-        if self.start < 0:
-            raise ValueError("window start must be >= 0")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("window duration must be positive")
-
-    @property
-    def end(self) -> Optional[float]:
-        """Simulation time the misbehavior stops (``None`` = never)."""
-        if self.duration is None:
-            return None
-        return self.start + self.duration
-
-
-@dataclass(frozen=True)
-class ByzantineSchedule:
-    """A deterministic set of :class:`ByzantineWindow` windows.
-
-    The adversarial sibling of :class:`PartitionSchedule` and
-    :class:`ControlPlaneSchedule`: declare who lies, how, and when —
-    up front — and inject with :func:`inject_byzantine_behaviors`.
-    """
-
-    windows: Tuple[ByzantineWindow, ...] = ()
-
-    def __post_init__(self):
-        ordered = tuple(sorted(
-            self.windows,
-            key=lambda w: (w.start, w.site, w.mode,
-                           w.duration if w.duration is not None
-                           else float("inf"))))
-        object.__setattr__(self, "windows", ordered)
-
-    @classmethod
-    def single(cls, site: str, mode: str, start: float = 0.0,
-               duration: Optional[float] = None) -> "ByzantineSchedule":
-        """One misbehavior window — the regression-test shape."""
-        return cls(windows=(ByzantineWindow(site, mode, start, duration),))
-
-    def affecting(self, site: str) -> Tuple[ByzantineWindow, ...]:
-        """Misbehavior windows run by one site."""
-        return tuple(w for w in self.windows if w.site == site)
-
-    @property
-    def sites(self) -> Tuple[str, ...]:
-        """Every adversarial site, name-sorted and deduplicated."""
-        return tuple(sorted({w.site for w in self.windows}))
-
-    def merged(self, other: "ByzantineSchedule") -> "ByzantineSchedule":
-        """Union of two schedules."""
-        return ByzantineSchedule(windows=self.windows + other.windows)
-
-
-def inject_byzantine_behaviors(
-    env: Environment,
-    targets: dict,
-    schedule: ByzantineSchedule,
-) -> None:
-    """Drive ``schedule``'s windows against per-site Byzantine targets.
-
-    ``targets`` maps ``site`` to any object with ``set_byzantine(mode)``
-    and ``clear_byzantine(mode)`` — a
-    :class:`~repro.federation.gateway.FederationGateway`.  Each window
-    becomes a mode-set at its start and (for bounded windows) a
-    mode-clear at its end, on the sim clock.  Windows for sites the
-    deployment does not expose are skipped.
-    """
-    for window in schedule.windows:
-        target = targets.get(window.site)
-        if target is None:
-            continue
-        env.process(_drive_byzantine(env, target, window),
-                    name=f"byzantine:{window.mode}:{window.site}"
-                         f"@{window.start:g}")
-
-
-def _drive_byzantine(env, target, window):
-    if window.start > env.now:
-        yield env.timeout(window.start - env.now)
-    target.set_byzantine(window.mode)
-    if window.duration is not None:
-        yield env.timeout(window.duration)
-        target.clear_byzantine(window.mode)

@@ -24,14 +24,6 @@ class SchedulingError(GPUnionError):
     """The scheduler could not produce a valid placement."""
 
 
-class NoCompatibleNodeError(SchedulingError):
-    """No registered node satisfies the request's GPU constraints."""
-
-
-class CapacityError(SchedulingError):
-    """Compatible nodes exist but none has free capacity right now."""
-
-
 class DispatchError(GPUnionError):
     """Launching a workload on a provider node failed."""
 
@@ -64,10 +56,6 @@ class CriuUnsupportedError(CheckpointError):
     """The CRIU baseline cannot checkpoint this workload (e.g. CUDA)."""
 
 
-class MigrationError(GPUnionError):
-    """Workload migration failed."""
-
-
 class StorageError(GPUnionError):
     """Data store or distributed file system operation failed."""
 
@@ -85,10 +73,6 @@ class SnapshotVersionError(StorageError):
 
 class NetworkError(GPUnionError):
     """A network transfer or RPC failed (peer gone, link down)."""
-
-
-class ProviderDepartedError(NetworkError):
-    """The provider node left the platform mid-operation."""
 
 
 class WanPartitionError(NetworkError):

@@ -26,12 +26,8 @@ from .federation import (
     run_relay_experiment,
     site_demand,
 )
-from .fig2_utilization import Fig2Result, run_fig2, weekly_series
-from .fig3_migration import (
-    Fig3Result,
-    run_fig3,
-    sweep_interruption_frequency,
-)
+from .fig2_utilization import Fig2Result, run_fig2
+from .fig3_migration import Fig3Result, run_fig3
 from .interactive import InteractiveResult, run_interactive
 from .network_traffic import (
     TrafficResult,
@@ -70,10 +66,8 @@ __all__ = [
     "site_demand",
     "Fig2Result",
     "run_fig2",
-    "weekly_series",
     "Fig3Result",
     "run_fig3",
-    "sweep_interruption_frequency",
     "InteractiveResult",
     "run_interactive",
     "ImpactRow",

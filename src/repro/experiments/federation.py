@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..agent import BehaviorProfile
-from ..core.partition import ByzantineSchedule, PartitionSchedule
+from ..core import faults
 from ..core.platform import GPUnionPlatform
 from ..federation import FederatedDeployment, FederationConfig
 from ..gpu.specs import A100_40GB, A6000, RTX_3090, RTX_4090
@@ -488,7 +488,7 @@ def default_partition_schedule(horizon: float,
                                first_down: float = 30 * MINUTE,
                                downtime: float = 20 * MINUTE,
                                uptime: float = 30 * MINUTE,
-                               ) -> PartitionSchedule:
+                               ) -> Tuple[faults.LinkOutage, ...]:
     """The experiment's flapping-WAN failure trace.
 
     Both of "north"'s links (to "south" and to "east") flap on the
@@ -500,11 +500,10 @@ def default_partition_schedule(horizon: float,
     inside the measured run.
     """
     until = max(first_down, horizon - 2 * HOUR)
-    south = PartitionSchedule.flapping(
-        "north", "south", first_down, downtime, uptime, until)
-    east = PartitionSchedule.flapping(
-        "north", "east", first_down, downtime, uptime, until)
-    return south.merged(east)
+    return faults.schedule(
+        faults.flapping("north", "south", first_down, downtime, uptime, until)
+        + faults.flapping("north", "east", first_down, downtime, uptime,
+                          until))
 
 
 @dataclass
@@ -565,13 +564,12 @@ def _run_federated_phase(
     seed: int,
     sites: Sequence[FederationSiteSpec],
     horizon: float,
-    schedule: Optional[PartitionSchedule] = None,
+    schedule: Sequence[faults.LinkOutage] = (),
     federation_config: Optional[FederationConfig] = None,
 ) -> FederatedDeployment:
     fed = build_federation(seed=seed, sites=sites,
                            federation_config=federation_config)
-    if schedule is not None:
-        fed.inject_partitions(schedule)
+    fed.inject(schedule)
     for site in sites:
         _feed(fed.site(site.name).platform,
               site_demand(seed, site, horizon))
@@ -594,7 +592,7 @@ def run_partition_experiment(
     seed: int = 42,
     days: float = 1.5,
     sites: Sequence[FederationSiteSpec] = FEDERATION_SITES,
-    schedule: Optional[PartitionSchedule] = None,
+    schedule: Optional[Sequence[faults.LinkOutage]] = None,
     federation_config: Optional[FederationConfig] = None,
 ) -> PartitionResult:
     """Federated utilization under a flapping WAN link.
@@ -617,8 +615,8 @@ def run_partition_experiment(
                                     federation_config=federation_config)
     return PartitionResult(
         days=days,
-        outages_injected=len(schedule.outages),
-        downtime_seconds=schedule.total_downtime,
+        outages_injected=len(schedule),
+        downtime_seconds=sum(o.duration for o in schedule),
         stable_by_site=stable.site_utilization(0, horizon),
         flapping_by_site=flapping.site_utilization(0, horizon),
         stable_overall=stable.aggregate_utilization(0, horizon),
@@ -742,8 +740,7 @@ def run_byzantine_experiment(
                                federation_config=federation_config)
         fed.enable_ledger_verification()
         if label == "byzantine":
-            fed.inject_byzantine(
-                ByzantineSchedule.single(byzantine_site, mode))
+            fed.inject([faults.ByzantineWindow(byzantine_site, mode)])
         for site in sites:
             _feed(fed.site(site.name).platform,
                   site_demand(seed, site, horizon))

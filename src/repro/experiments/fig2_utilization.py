@@ -100,23 +100,3 @@ def run_fig2(seed: int = 42, weeks: float = 6.0) -> Fig2Result:
         manual_jobs_denied=len(manual.denied_jobs()),
         gpunion_jobs_completed=completed,
     )
-
-
-def weekly_series(seed: int = 42, weeks: int = 6) -> List[Dict[str, float]]:
-    """Per-week utilization for both phases (Fig. 2's time axis)."""
-    horizon = weeks * WEEK
-    manual = build_manual_campus(seed=seed)
-    manual.play_trace(campus_demand(seed, horizon))
-    manual.env.run(until=horizon)
-    platform = build_gpunion_campus(seed=seed)
-    _submit_to_gpunion(platform, campus_demand(seed, horizon))
-    platform.run(until=horizon)
-    series = []
-    for week in range(weeks):
-        since, until = week * WEEK, (week + 1) * WEEK
-        series.append({
-            "week": week + 1,
-            "manual": manual.fleet_utilization(since, until),
-            "gpunion": platform.fleet_utilization(since, until),
-        })
-    return series

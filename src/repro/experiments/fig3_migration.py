@@ -214,26 +214,3 @@ def run_fig3(
         checkpoint_interval=checkpoint_interval,
         interruption_events=events,
     )
-
-
-def sweep_interruption_frequency(
-    seed: int = 7,
-    frequencies=(0.5, 1.2, 2.0, 3.2),
-    jobs: int = 20,
-    duration: float = 1 * WEEK,
-) -> List[Dict[str, float]]:
-    """Fig. 3's x-axis: how outcomes degrade with interruption rate."""
-    rows = []
-    for frequency in frequencies:
-        result = run_fig3(seed=seed, jobs=jobs, duration=duration,
-                          events_per_day=frequency)
-        scheduled = result.by_kind.get("scheduled", MigrationStats("scheduled"))
-        emergency = result.by_kind.get("emergency", MigrationStats("emergency"))
-        rows.append({
-            "events_per_day": frequency,
-            "scheduled_success": scheduled.success_rate,
-            "emergency_lost": emergency.mean_lost_progress,
-            "migrate_back_rate": result.migrate_back.rate,
-            "jobs_completed": result.jobs_completed,
-        })
-    return rows

@@ -20,18 +20,11 @@ facade experiments build against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..config import PlatformConfig
 from ..core.failover import CoordinatorHA, FailoverConfig
-from ..core.partition import (
-    ByzantineSchedule,
-    ControlPlaneSchedule,
-    PartitionSchedule,
-    inject_byzantine_behaviors,
-    inject_control_plane_failures,
-    inject_partitions,
-)
+from ..core import faults
 from ..core.platform import GPUnionPlatform
 from ..network import (
     AutorateConfig,
@@ -184,7 +177,7 @@ class FederatedDeployment:
         """Advance the shared simulation."""
         self.env.run(until=until)
 
-    # -- WAN failure injection ---------------------------------------------
+    # -- failure injection -------------------------------------------------
 
     def sever(self, a: str, b: str) -> bool:
         """Cut the ``a``↔``b`` WAN link pair now (both directions).
@@ -198,13 +191,25 @@ class FederatedDeployment:
         """Restore the ``a``↔``b`` pair; gateways reconcile immediately."""
         return self.wan.heal(a, b)
 
-    def inject_partitions(self, schedule: PartitionSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.PartitionSchedule`
-        of link outages against this federation's WAN on the shared
-        clock."""
-        inject_partitions(self.env, self.wan, schedule)
+    def inject(self, windows: Iterable) -> None:
+        """Drive fault windows against this federation on the shared
+        clock: :class:`~repro.core.faults.LinkOutage`,
+        :class:`~repro.core.faults.ControlPlaneCrash` and
+        :class:`~repro.core.faults.ByzantineWindow` in any mix.
 
-    # -- control-plane failure injection -----------------------------------
+        Call :meth:`enable_failover` first for crash windows —
+        coordinator windows need the HA pair (they are skipped
+        without it), and gateway restarts recover from the vault it
+        attaches.  A Byzantine window implies
+        :meth:`enable_ledger_verification`: an adversary without
+        verifiers is unobservable.
+        """
+        windows = tuple(windows)
+        if any(isinstance(w, faults.ByzantineWindow) for w in windows):
+            self.enable_ledger_verification()
+        faults.inject(self, windows)
+
+    # -- control-plane HA --------------------------------------------------
 
     def enable_failover(
         self,
@@ -217,8 +222,9 @@ class FederatedDeployment:
         :class:`~repro.storage.StateVault` to each gateway so its
         books survive a restart.  Idempotent per site: campuses added
         after the first call get wired by calling this again.  Without
-        this call, crash injection is a no-op and the default fast
-        path is untouched (no vault writes, no HA bookkeeping).
+        this call, coordinator crash windows are skipped and the
+        default fast path is untouched (no vault writes, no HA
+        bookkeeping).
         """
         for name, handle in self.sites.items():
             if name in self.failover:
@@ -229,27 +235,6 @@ class FederatedDeployment:
             volume = Volume(self.env, name=f"gateway-vault:{name}")
             handle.gateway.attach_vault(StateVault(volume))
         return self.failover
-
-    def crash_targets(self) -> Dict[tuple, object]:
-        """``(site, component)`` → crashable, for failure injection."""
-        targets: Dict[tuple, object] = {}
-        for name, handle in self.sites.items():
-            ha = self.failover.get(name)
-            if ha is not None:
-                targets[(name, "coordinator")] = ha
-            targets[(name, "gateway")] = handle.gateway
-        return targets
-
-    def inject_control_plane(self, schedule: ControlPlaneSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.ControlPlaneSchedule`
-        of coordinator/gateway crash windows against this federation.
-
-        Call :meth:`enable_failover` first — coordinator windows need
-        the HA pair, and gateway restarts recover from the vault it
-        attaches.
-        """
-        inject_control_plane_failures(self.env, self.crash_targets(),
-                                      schedule)
 
     # -- Byzantine-robustness: share-chain verification --------------------
 
@@ -267,19 +252,6 @@ class FederatedDeployment:
         self._verify_ledger = True
         for handle in self.sites.values():
             handle.gateway.enable_ledger_verification(self.keyring)
-
-    def inject_byzantine(self, schedule: ByzantineSchedule) -> None:
-        """Drive a :class:`~repro.core.partition.ByzantineSchedule` of
-        misbehavior windows against this federation's gateways.
-
-        Implies :meth:`enable_ledger_verification` — an adversary
-        without verifiers is unobservable, and the chaos suites always
-        want both.
-        """
-        self.enable_ledger_verification()
-        targets = {name: handle.gateway
-                   for name, handle in self.sites.items()}
-        inject_byzantine_behaviors(self.env, targets, schedule)
 
     def chain_heights(self) -> Dict[str, int]:
         """Accepted share-chain entries per site's verified view

@@ -58,7 +58,7 @@ from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Set,
                     Tuple)
 
 from ..core.messages import ResourceRequest
-from ..core.partition import BYZANTINE_MODES
+from ..core.faults import BYZANTINE_MODES
 from ..core.platform import GPUnionPlatform
 from ..errors import NetworkError, SnapshotVersionError
 from ..monitoring.events import PlatformEvent
@@ -238,7 +238,7 @@ class FederationGateway:
         #: view (crash) is automatically re-sent the gap.
         self._chain_acked: Dict[str, Dict[str, int]] = {}
         #: Active Byzantine misbehavior modes (normally empty; driven
-        #: by an injected :class:`ByzantineSchedule`).
+        #: by an injected :class:`~repro.core.faults.ByzantineWindow`).
         self.byzantine_modes: Set[str] = set()
         self._byz_proc: Optional[Process] = None
         self._byz_seq = 0

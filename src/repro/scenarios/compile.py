@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..agent import BehaviorProfile
-from ..core.partition import (
-    ByzantineSchedule,
-    ByzantineWindow,
-    ControlPlaneCrash,
-    ControlPlaneSchedule,
-    LinkOutage,
-    PartitionSchedule,
-)
+from ..core.faults import ByzantineWindow, ControlPlaneCrash, LinkOutage
 from ..federation import FederatedDeployment, FederationConfig
 from ..federation.deployment import SiteHandle
 from ..gpu.specs import lookup
@@ -247,25 +240,21 @@ def compile_scenario(scenario: ScenarioSpec, seed: int = 0,
                      else link.latency_ms / 1000.0),
         )
 
-    if scenario.outages:
-        deployment.inject_partitions(PartitionSchedule(outages=tuple(
-            LinkOutage(o.a, o.b, o.start_hour * HOUR,
-                       o.duration_minutes * MINUTE)
-            for o in scenario.outages)))
     if scenario.crashes:
         deployment.enable_failover()
-        deployment.inject_control_plane(ControlPlaneSchedule(crashes=tuple(
-            ControlPlaneCrash(c.site, c.component, c.start_hour * HOUR,
-                              c.downtime_minutes * MINUTE)
-            for c in scenario.crashes)))
-    if scenario.verify_ledger or scenario.adversaries:
+    if scenario.verify_ledger:
         deployment.enable_ledger_verification()
-    if scenario.adversaries:
-        deployment.inject_byzantine(ByzantineSchedule(windows=tuple(
-            ByzantineWindow(a.site, a.mode, a.start_hour * HOUR,
-                            None if a.duration_hours is None
-                            else a.duration_hours * HOUR)
-            for a in scenario.adversaries)))
+    deployment.inject(
+        [LinkOutage(o.a, o.b, o.start_hour * HOUR,
+                    o.duration_minutes * MINUTE)
+         for o in scenario.outages]
+        + [ControlPlaneCrash(c.site, c.component, c.start_hour * HOUR,
+                             c.downtime_minutes * MINUTE)
+           for c in scenario.crashes]
+        + [ByzantineWindow(a.site, a.mode, a.start_hour * HOUR,
+                           None if a.duration_hours is None
+                           else a.duration_hours * HOUR)
+           for a in scenario.adversaries])
 
     compiled = CompiledScenario(
         spec=scenario, seed=seed, deployment=deployment, horizon=horizon)

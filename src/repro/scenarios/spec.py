@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..core.partition import BYZANTINE_MODES
+from ..core.faults import BYZANTINE_MODES
 from ..gpu.specs import CATALOG
 from ..workloads.models import MODEL_CATALOG
 
@@ -404,7 +404,7 @@ class WanLinkSpec:
 @dataclass(frozen=True)
 class OutageSpec:
     """One WAN-sever window (compiles to a
-    :class:`~repro.core.partition.LinkOutage`)."""
+    :class:`~repro.core.faults.LinkOutage`)."""
 
     a: str
     b: str
@@ -438,7 +438,7 @@ class OutageSpec:
 @dataclass(frozen=True)
 class CrashSpec:
     """One control-plane crash window (compiles to a
-    :class:`~repro.core.partition.ControlPlaneCrash`)."""
+    :class:`~repro.core.faults.ControlPlaneCrash`)."""
 
     site: str
     component: str  # "coordinator" | "gateway"
@@ -473,7 +473,7 @@ class CrashSpec:
 @dataclass(frozen=True)
 class AdversarySpec:
     """One Byzantine misbehavior window (compiles to a
-    :class:`~repro.core.partition.ByzantineWindow`).
+    :class:`~repro.core.faults.ByzantineWindow`).
 
     Declaring any adversary turns share-chain ledger verification on
     for the whole scenario — an unobserved adversary is just noise.
@@ -481,7 +481,7 @@ class AdversarySpec:
     """
 
     site: str
-    mode: str  # one of repro.core.partition.BYZANTINE_MODES
+    mode: str  # one of repro.core.faults.BYZANTINE_MODES
     start_hour: float = 0.0
     duration_hours: Optional[float] = None
 

@@ -20,19 +20,9 @@ DAY = 24 * HOUR
 WEEK = 7 * DAY
 
 
-def kib(n: float) -> float:
-    """Kibibytes to bytes."""
-    return n * KIB
-
-
 def mib(n: float) -> float:
     """Mebibytes to bytes."""
     return n * MIB
-
-
-def gib(n: float) -> float:
-    """Gibibytes to bytes."""
-    return n * GIB
 
 
 def mbps(n: float) -> float:
@@ -48,11 +38,6 @@ def gbps(n: float) -> float:
 def as_gib(nbytes: float) -> float:
     """Bytes to GiB (for display)."""
     return nbytes / GIB
-
-
-def as_mib(nbytes: float) -> float:
-    """Bytes to MiB (for display)."""
-    return nbytes / MIB
 
 
 def minutes(n: float) -> float:

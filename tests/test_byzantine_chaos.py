@@ -30,7 +30,7 @@ happened, not a round count.
 
 import pytest
 
-from repro.core.partition import ByzantineSchedule
+from repro.core.faults import ByzantineWindow
 from repro.federation import (
     FederatedDeployment,
     FederationConfig,
@@ -78,8 +78,8 @@ def _build(mode, seed, gpus):
         for b in names[i + 1:]:
             fed.connect(a, b)
     fed.enable_ledger_verification()
-    fed.inject_byzantine(ByzantineSchedule.single(
-        BYZ, mode, start=WINDOW_START.get(mode, 0.0)))
+    fed.inject([ByzantineWindow(
+        BYZ, mode, start=WINDOW_START.get(mode, 0.0))])
     return fed, handles
 
 

@@ -7,19 +7,23 @@ the backup takes over the shared durable state — adopting in-flight
 dispatches, finalizing completions that reported into the void, and
 requeuing the rest — without ever running a job twice.
 
-The :class:`ControlPlaneSchedule` machinery (crash windows as
+The :class:`~repro.core.faults.ControlPlaneCrash` window (crashes as
 first-class injectable events, like link outages) is unit-tested here
 too; the federated chaos suite drives it end to end.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import GPUnionPlatform, TrainingJobSpec
 from repro.core import CoordinatorHA, FailoverConfig
-from repro.core.partition import (
+from repro.core.faults import (
+    ByzantineWindow,
     ControlPlaneCrash,
-    ControlPlaneSchedule,
-    inject_control_plane_failures,
+    LinkOutage,
+    inject,
+    schedule,
 )
 from repro.gpu import RTX_3090
 from repro.observability.trace import Tracer
@@ -75,15 +79,12 @@ def test_control_plane_crash_validation():
 def test_control_plane_schedule_orders_and_queries():
     late = ControlPlaneCrash("north", "gateway", 30.0, 5.0)
     early = ControlPlaneCrash("south", "coordinator", 10.0, 20.0)
-    schedule = ControlPlaneSchedule(crashes=(late, early))
-    assert schedule.crashes == (early, late)
-    assert schedule.affecting("north") == (late,)
-    assert schedule.affecting("nowhere") == ()
-    assert schedule.total_downtime == 25.0
-    merged = schedule.merged(
-        ControlPlaneSchedule.single("north", "coordinator", 5.0, 1.0))
-    assert len(merged.crashes) == 3
-    assert merged.crashes[0].start == 5.0
+    assert schedule((late, early)) == (early, late)
+    # Kinds never interleave: every outage, then every crash, then every
+    # Byzantine window, whatever their start times.
+    outage = LinkOutage("north", "south", 40.0, 1.0)
+    lie = ByzantineWindow("south", "forge", 0.0)
+    assert schedule((lie, late, outage, early)) == (outage, early, late, lie)
 
 
 def test_injector_drives_windows_and_skips_unknown_targets():
@@ -97,14 +98,16 @@ def test_injector_drives_windows_and_skips_unknown_targets():
         def restart(self):
             log.append(("restart", env.now))
 
-    schedule = ControlPlaneSchedule(crashes=(
+    deployment = SimpleNamespace(
+        env=env, failover={},
+        sites={"north": SimpleNamespace(gateway=Target())})
+    inject(deployment, (
         ControlPlaneCrash("north", "gateway", 10.0, 5.0),
-        # No target registered for this one: silently skipped, so one
-        # schedule can be replayed against differently-shaped setups.
-        ControlPlaneCrash("ghost", "coordinator", 1.0, 1.0),
+        # No target for these: silently skipped, so one schedule can be
+        # replayed against differently-shaped setups.
+        ControlPlaneCrash("ghost", "gateway", 1.0, 1.0),
+        ControlPlaneCrash("north", "coordinator", 1.0, 1.0),
     ))
-    inject_control_plane_failures(env, {("north", "gateway"): Target()},
-                                  schedule)
     env.run(until=30.0)
     assert log == [("crash", 10.0), ("restart", 15.0)]
 

@@ -218,13 +218,13 @@ def test_offer_during_partition_reads_as_decline_and_retries():
 # -- the acceptance scenario: flapping link, exactly-once ------------------
 
 def test_flapping_wan_link_completes_every_job_exactly_once():
-    from repro.core.partition import PartitionSchedule
+    from repro.core.faults import flapping
 
     fed, north, south = _two_campuses([RTX_3090], [RTX_4090] * 4)
-    schedule = PartitionSchedule.flapping(
+    outages = flapping(
         "north", "south", first_down=150.0, downtime=5 * MINUTE,
         uptime=5 * MINUTE, until=3 * HOUR)
-    fed.inject_partitions(schedule)
+    fed.inject(outages)
     fed.run(until=100)
     jobs = [north.platform.submit_job(_job(compute=1 * HOUR))
             for _ in range(6)]
@@ -239,10 +239,8 @@ def test_flapping_wan_link_completes_every_job_exactly_once():
     assert fed.unresolved_count() == 0
     assert fed.ledger.total() == pytest.approx(0.0)
     # The flapping actually happened.
-    assert north.platform.events.count("wan-link-severed") == len(
-        schedule.outages)
-    assert north.platform.events.count("wan-link-healed") == len(
-        schedule.outages)
+    assert north.platform.events.count("wan-link-severed") == len(outages)
+    assert north.platform.events.count("wan-link-healed") == len(outages)
 
 
 def test_transfer_on_severed_route_raises_wan_partition_error():

@@ -27,7 +27,7 @@ import pytest
 import repro.core.platform as platform_module
 import repro.federation.deployment as deployment_module
 from repro.agent import BehaviorProfile
-from repro.core.partition import LinkOutage, PartitionSchedule
+from repro.core.faults import LinkOutage
 from repro.federation import FederatedDeployment, FederationConfig
 from repro.gpu import RTX_3090, RTX_4090
 from repro.network import CampusLAN, FlowNetwork, WanTopology, max_min_rates
@@ -292,10 +292,10 @@ def run_federated_chaos(engine_cls, seed=7):
         )
         bravo.platform.add_behavior("b-ws1", churn)
         bravo.platform.add_behavior("b-ws2", churn)
-        fed.inject_partitions(PartitionSchedule(outages=(
+        fed.inject((
             LinkOutage("alpha", "bravo", 20 * MINUTE, 15 * MINUTE),
             LinkOutage("bravo", "charlie", 45 * MINUTE, 10 * MINUTE),
-        )))
+        ))
         rng = random.Random(seed)
         models = (RESNET50, UNET_SEG)
         job_ids = []

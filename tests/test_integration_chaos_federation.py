@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.agent import BehaviorProfile
-from repro.core.partition import LinkOutage, PartitionSchedule
+from repro.core.faults import LinkOutage
 from repro.federation import FederatedDeployment, FederationConfig
 from repro.gpu import RTX_3090, RTX_4090
 from repro.units import HOUR, MINUTE
@@ -31,7 +31,7 @@ SEEDS = (7, 19, 23)
 
 
 def _random_schedule(rng: random.Random, pairs, chaos_until: float,
-                     ) -> PartitionSchedule:
+                     ) -> list:
     """Random outage windows over every WAN link pair.
 
     Durations and gaps are drawn uniformly, windows may overlap across
@@ -47,7 +47,7 @@ def _random_schedule(rng: random.Random, pairs, chaos_until: float,
             duration = min(duration, chaos_until - at)
             outages.append(LinkOutage(a, b, at, duration))
             at += duration + rng.uniform(5 * MINUTE, 45 * MINUTE)
-    return PartitionSchedule(outages=tuple(outages))
+    return outages
 
 
 def _build(seed: int):
@@ -87,7 +87,7 @@ def _chaos_run(seed: int):
     chaos_until = 10 * HOUR
     schedule = _random_schedule(
         rng, [("alpha", "bravo"), ("bravo", "charlie")], chaos_until)
-    fed.inject_partitions(schedule)
+    fed.inject(schedule)
 
     jobs = []
 
@@ -143,7 +143,7 @@ def test_chaos_actually_engaged_the_machinery(chaos_federation):
     """A chaos run that never forwarded, relayed, or partitioned a
     handshake proves nothing — pin the mix."""
     fed, jobs, schedule = chaos_federation
-    assert schedule.outages, "no outages generated"
+    assert schedule, "no outages generated"
     severed = sum(handle.platform.events.count("wan-link-severed")
                   for handle in fed.sites.values())
     assert severed > 0

@@ -124,9 +124,11 @@ def test_partition_properties(num_layers, num_gpus):
     assert plan.bottleneck >= total / capacity - 1e-9
 
 
-# -- network partitions: outage schedules ----------------------------------
+# -- network partitions: link-outage windows -------------------------------
 
-from repro.core.partition import LinkOutage, PartitionSchedule, inject_partitions
+from types import SimpleNamespace
+
+from repro.core.faults import LinkOutage, flapping, inject
 from repro.network import WanTopology
 from repro.sim import Environment
 
@@ -144,27 +146,23 @@ def test_link_outage_validation():
 
 
 def test_flapping_schedule_is_periodic_and_bounded():
-    schedule = PartitionSchedule.flapping(
+    outages = flapping(
         "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=60.0)
-    starts = [o.start for o in schedule.outages]
-    assert starts == [10.0, 30.0, 50.0]
-    assert all(o.duration == 5.0 for o in schedule.outages)
-    assert schedule.total_downtime == 15.0
-    assert schedule.affecting("b", "a") == schedule.outages
-    assert schedule.affecting("a", "c") == ()
+    assert [o.start for o in outages] == [10.0, 30.0, 50.0]
+    assert all(o.duration == 5.0 for o in outages)
+    assert {o.pair for o in outages} == {("a", "b")}
     with pytest.raises(ValueError):
-        PartitionSchedule.flapping("a", "b", 0.0, 0.0, 1.0, 10.0)
+        flapping("a", "b", 0.0, 0.0, 1.0, 10.0)
 
 
-def test_inject_partitions_drives_sever_and_heal():
+def test_inject_drives_sever_and_heal():
     env = Environment()
     wan = WanTopology()
     wan.connect("a", "b")
     log = []
     wan.add_listener(lambda ev, a, b: log.append((env.now, ev)))
-    schedule = PartitionSchedule.flapping(
-        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=40.0)
-    inject_partitions(env, wan, schedule)
+    inject(SimpleNamespace(env=env, wan=wan), flapping(
+        "a", "b", first_down=10.0, downtime=5.0, uptime=15.0, until=40.0))
     env.run(until=12.0)
     assert wan.is_severed("a", "b")
     env.run(until=16.0)
@@ -178,22 +176,12 @@ def test_overlapping_outages_nest_on_injection():
     env = Environment()
     wan = WanTopology()
     wan.connect("a", "b")
-    schedule = PartitionSchedule(outages=(
+    inject(SimpleNamespace(env=env, wan=wan), (
         LinkOutage("a", "b", 10.0, 20.0),   # heals at 30
         LinkOutage("a", "b", 15.0, 5.0),    # nested window, heals at 20
     ))
-    inject_partitions(env, wan, schedule)
     env.run(until=22.0)
     # The nested window lifted at t=20, but the outer one holds.
     assert wan.is_severed("a", "b")
     env.run(until=31.0)
     assert not wan.is_severed("a", "b")
-
-
-def test_merged_schedules_combine_outages():
-    first = PartitionSchedule.flapping("a", "b", 0.0, 1.0, 9.0, 20.0)
-    second = PartitionSchedule.flapping("a", "c", 5.0, 1.0, 9.0, 20.0)
-    merged = first.merged(second)
-    assert len(merged.outages) == len(first.outages) + len(second.outages)
-    assert merged.outages == tuple(
-        sorted(merged.outages, key=lambda o: (o.start, o.pair, o.duration)))

@@ -1,5 +1,6 @@
 """Scenario compilation and seed-swept execution with invariants."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.scenarios import (
     example_scenario,
     summarize,
 )
+from repro.scenarios.runner import _check_invariants, _job_statuses
 
 
 def chaos_scenario():
@@ -108,3 +110,65 @@ def test_summarize_counts_every_planned_job():
     assert summary["jobs"]["planned"] == len(compiled.jobs)
     assert sum(summary["jobs"]["by_status"].values()) == len(compiled.jobs)
     assert summary["seed"] == 4
+
+
+# -- fault injection pinned ----------------------------------------------------
+
+def mixed_fault_scenario():
+    """One window of every fault kind, two sharing a start time."""
+    base = example_scenario(duration_hours=6.0).to_dict()
+    base["name"] = "mixed-faults"
+    base["outages"] = [
+        {"a": "north", "b": "south", "start_hour": 1.0,
+         "duration_minutes": 20.0},
+    ]
+    base["crashes"] = [
+        {"site": "north", "component": "gateway",
+         "start_hour": 1.0, "downtime_minutes": 10.0},
+        {"site": "south", "component": "coordinator",
+         "start_hour": 2.0, "downtime_minutes": 15.0},
+    ]
+    base["adversaries"] = [
+        {"site": "south", "mode": "forge", "start_hour": 1.0},
+    ]
+    return ScenarioSpec.from_dict(base)
+
+
+def fault_run_digest(compiled) -> str:
+    """sha256 over every site's event stream plus the run summary.
+
+    Event ``repr``s carry process-wide ids, so only the fields that are
+    stable across runs in one process go into the digest.
+    """
+    digest = hashlib.sha256()
+    for name in sorted(compiled.deployment.sites):
+        for event in compiled.site(name).platform.events.all():
+            payload = event.payload
+            digest.update(repr((
+                event.timestamp, event.kind, name, payload.get("job_id"),
+                payload.get("peer"), payload.get("mode"))).encode())
+    digest.update(json.dumps(summarize(compiled), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: Recorded before fault injection was unified behind one window
+#: protocol; mixed-kind windows must keep their event order.
+MIXED_FAULT_DIGEST = (
+    "79d251b55d6ec5808a079d514dca0f551360eabc5964c690994570cf355e6359")
+
+
+def test_mixed_fault_injection_is_event_identical():
+    compiled = compile_scenario(mixed_fault_scenario(), seed=7).run()
+    assert fault_run_digest(compiled) == MIXED_FAULT_DIGEST
+
+
+def test_missing_job_record_is_a_lost_job():
+    compiled = compile_scenario(example_scenario(duration_hours=3.0),
+                                seed=3).run()
+    victim = compiled.jobs[0]
+    del compiled.site(victim.site).platform.coordinator.jobs[
+        victim.spec.job_id]
+    statuses = _job_statuses(compiled)
+    assert statuses["missing"] == 1
+    violations = _check_invariants(compiled, statuses)
+    assert any(v.startswith("no-job-lost") for v in violations), violations
